@@ -63,3 +63,14 @@ func TestEveryRunnerReturnsPromptlyWhenPreCanceled(t *testing.T) {
 		})
 	}
 }
+
+// TestE19PreCanceled: E19's degradation sweeps poll the caller's
+// context, so a pre-canceled run comes back canceled instead of
+// computing the full table.
+func TestE19PreCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if res, err := E19FailureDegradation(ctx); !errors.Is(err, physerr.ErrCanceled) {
+		t.Fatalf("err = %v (result %v), want ErrCanceled", err, res != nil)
+	}
+}

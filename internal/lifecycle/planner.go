@@ -297,11 +297,12 @@ func PlanGrowth(t *topology.Topology, g Grower, cfg PlannerConfig) (*Plan, error
 }
 
 // PlanGrowthCtx is PlanGrowth with cancellation, checked on entry,
-// between stages, and inside the ordering anneal. A canceled run returns
-// an error matching physerr.ErrCanceled and commits nothing — the
-// caller's topology is untouched either way (the planner works on a
-// clone). A run that completes is byte-identical for any worker count
-// and whether obs collection is on or off.
+// between stages, inside each stage's all-pairs sweep, and inside the
+// ordering anneal. A canceled run returns an error matching
+// physerr.ErrCanceled and commits nothing — the caller's topology is
+// untouched either way (the planner works on a clone). A run that
+// completes is byte-identical for any worker count and whether obs
+// collection is on or off.
 func PlanGrowthCtx(ctx context.Context, t *topology.Topology, g Grower, cfg PlannerConfig) (*Plan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -346,7 +347,10 @@ func PlanGrowthCtx(ctx context.Context, t *topology.Topology, g Grower, cfg Plan
 		}
 		// Stage evaluation freezes the working graph: a trunk-only stage
 		// rides the CSR delta path, a splice stage forces a full repack.
-		ps := work.AllPairsStats(nil)
+		ps, err := work.AllPairsStatsCtx(ctx, nil)
+		if err != nil {
+			return nil, err
+		}
 		stageStats[si] = StageReport{
 			Stage:    si,
 			Switches: work.N,

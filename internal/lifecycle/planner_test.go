@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand/v2"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -299,5 +300,42 @@ func TestPlanGrowthDeltaFreeze(t *testing.T) {
 	}
 	if plan.Trunks != 40 || plan.AddedToRs != 10 {
 		t.Fatalf("plan did %d trunks / %d adds, want 40 / 10", plan.Trunks, plan.AddedToRs)
+	}
+}
+
+// pollCountdown is a context that never fires its Done channel but
+// reports cancellation from Err once it has been polled `after` times,
+// so a test can cancel a run at an exact checkpoint.
+type pollCountdown struct {
+	context.Context
+	done  chan struct{}
+	after int64
+	polls atomic.Int64
+}
+
+func (c *pollCountdown) Done() <-chan struct{} { return c.done }
+
+func (c *pollCountdown) Err() error {
+	if c.polls.Add(1) > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestPlanGrowthCancelReachesStageSweep: cancellation must reach the
+// all-pairs sweep that evaluates each stage. The context passes the
+// entry and per-stage checks and cancels from its next poll; with one
+// stage and no ordering anneal, only the stage sweep polls after that,
+// so a planner that handed it no context would return a plan.
+func TestPlanGrowthCancelReachesStageSweep(t *testing.T) {
+	jf, g, cfg := plannerFixture(t)
+	cfg.Stages = cfg.Stages[:1]
+	cfg.AnnealSteps = 0
+	if _, err := PlanGrowth(jf, g, cfg); err != nil {
+		t.Fatalf("uncanceled run: %v", err)
+	}
+	ctx := &pollCountdown{Context: context.Background(), done: make(chan struct{}), after: 2}
+	if _, err := PlanGrowthCtx(ctx, jf, g, cfg); !errors.Is(err, physerr.ErrCanceled) {
+		t.Fatalf("cancel during the stage sweep: err = %v, want ErrCanceled", err)
 	}
 }

@@ -42,8 +42,8 @@ func TestFailureDegradationCtxPreCanceled(t *testing.T) {
 
 // TestFailureDegradationCtxLiveUncanceledMatches pins the hand-out
 // contract: a sweep that completes under a live cancellable context is
-// bit-identical to the context-free sweep (per-trial reseeding makes
-// every trial independent of how many ran before it).
+// bit-identical to one under a context that cannot cancel (per-trial
+// reseeding makes every trial independent of how many ran before it).
 func TestFailureDegradationCtxLiveUncanceledMatches(t *testing.T) {
 	ft, err := topology.FatTree(topology.FatTreeConfig{K: 4, Rate: 100})
 	if err != nil {
@@ -51,7 +51,7 @@ func TestFailureDegradationCtxLiveUncanceledMatches(t *testing.T) {
 	}
 	m := Uniform(len(ft.ToRs()), 100)
 	fracs := []float64{0, 0.05, 0.1}
-	want, err := FailureDegradation(ft, m, fracs, 3, true, 7)
+	want, err := FailureDegradationCtx(context.Background(), ft, m, fracs, 3, true, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestFailureDegradationCtxLiveUncanceledMatches(t *testing.T) {
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("point %d: cancellable %+v != context-free %+v", i, got[i], want[i])
+			t.Fatalf("point %d: cancellable %+v != background %+v", i, got[i], want[i])
 		}
 	}
 }

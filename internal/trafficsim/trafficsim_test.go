@@ -1,6 +1,7 @@
 package trafficsim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -267,7 +268,7 @@ func TestFailureDegradationMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := Uniform(32, 300)
-	pts, err := FailureDegradation(jf, m, []float64{0, 0.05, 0.15}, 3, true, 4)
+	pts, err := FailureDegradationCtx(context.Background(), jf, m, []float64{0, 0.05, 0.15}, 3, true, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,10 +296,10 @@ func TestFailureDegradationValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := Uniform(12, 100)
-	if _, err := FailureDegradation(jf, m, []float64{0.5}, 0, false, 1); err == nil {
+	if _, err := FailureDegradationCtx(context.Background(), jf, m, []float64{0.5}, 0, false, 1); err == nil {
 		t.Error("zero trials accepted")
 	}
-	if _, err := FailureDegradation(jf, m, []float64{1.5}, 1, false, 1); err == nil {
+	if _, err := FailureDegradationCtx(context.Background(), jf, m, []float64{1.5}, 1, false, 1); err == nil {
 		t.Error("fraction >= 1 accepted")
 	}
 }

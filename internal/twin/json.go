@@ -44,7 +44,8 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 			return err
 		}
 	}
-	*m = *fresh
+	m.entities, m.relations = fresh.entities, fresh.relations
+	m.index.Store(nil)
 	return nil
 }
 

@@ -9,7 +9,7 @@
 package twin
 
 import (
-	"sort"
+	"sync/atomic"
 
 	"physdep/internal/physerr"
 )
@@ -65,9 +65,17 @@ type Relation struct {
 }
 
 // Model is the twin: a set of entities and relations.
+//
+// Relation queries are answered from an index built on the first query
+// and cached through an atomic pointer, so concurrent readers of one
+// model need no lock (concurrent builds are identical; one wins). Every
+// relation mutation — Relate, Unrelate, Remove, UnmarshalJSON — drops
+// the index, and the next query rebuilds it from the live relations.
+// Mutations are not safe concurrently with anything else.
 type Model struct {
 	entities  map[string]*Entity
 	relations []Relation
+	index     atomic.Pointer[relIndex]
 }
 
 // NewModel returns an empty twin.
@@ -109,6 +117,7 @@ func (m *Model) Remove(id string) error {
 		}
 	}
 	m.relations = kept
+	m.index.Store(nil)
 	return nil
 }
 
@@ -121,6 +130,7 @@ func (m *Model) Relate(from string, verb Verb, to string) error {
 		return physerr.OutOfRange("twin: relation to unknown entity %q", to)
 	}
 	m.relations = append(m.relations, Relation{From: from, Verb: verb, To: to})
+	m.index.Store(nil)
 	return nil
 }
 
@@ -129,33 +139,34 @@ func (m *Model) Unrelate(from string, verb Verb, to string) {
 	for i, r := range m.relations {
 		if r.From == from && r.Verb == verb && r.To == to {
 			m.relations = append(m.relations[:i], m.relations[i+1:]...)
+			m.index.Store(nil)
 			return
 		}
 	}
 }
 
-// Related returns the IDs related from `from` by verb, sorted.
-func (m *Model) Related(from string, verb Verb) []string {
-	var out []string
-	for _, r := range m.relations {
-		if r.From == from && r.Verb == verb {
-			out = append(out, r.To)
-		}
+// loadIndex returns the current relation index, building it if a
+// mutation dropped it.
+func (m *Model) loadIndex() *relIndex {
+	if ix := m.index.Load(); ix != nil {
+		return ix
 	}
-	sort.Strings(out)
-	return out
+	ix := buildRelIndex(m.relations)
+	m.index.Store(ix)
+	return ix
 }
 
-// RelatedTo returns the IDs with a verb-relation pointing at `to`, sorted.
+// Related returns the IDs related from `from` by verb, sorted. The
+// slice is shared with the model's index and must be treated as
+// read-only; its capacity is capped, so appending to it copies.
+func (m *Model) Related(from string, verb Verb) []string {
+	return m.loadIndex().out.row(from, verb)
+}
+
+// RelatedTo returns the IDs with a verb-relation pointing at `to`,
+// sorted. Like Related, the result is shared and read-only.
 func (m *Model) RelatedTo(to string, verb Verb) []string {
-	var out []string
-	for _, r := range m.relations {
-		if r.To == to && r.Verb == verb {
-			out = append(out, r.From)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return m.loadIndex().in.row(to, verb)
 }
 
 // EntitiesOfKind returns all entities of a kind, sorted by ID for
@@ -167,7 +178,7 @@ func (m *Model) EntitiesOfKind(k Kind) []*Entity {
 			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	sortEntities(out)
 	return out
 }
 

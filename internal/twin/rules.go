@@ -3,6 +3,8 @@ package twin
 import (
 	"fmt"
 	"math"
+
+	"physdep/internal/obs"
 )
 
 // Rule is one physical-constraint check over a model. Rules are pure:
@@ -26,11 +28,17 @@ func DefaultRules() []Rule {
 	}
 }
 
-// CheckAll runs the schema and every rule, concatenating findings.
+// CheckAll runs the schema and every rule, concatenating findings. While
+// obs collection is on, each check's time accumulates in the counters
+// "twin.check.<name>.ns" and ".calls" ("schema" for the schema check).
 func CheckAll(m *Model, s *Schema, rules []Rule) []Violation {
+	stop := obs.Time("twin.check.schema")
 	vs := s.Check(m)
+	stop()
 	for _, r := range rules {
+		stop := obs.Time("twin.check." + r.Name())
 		vs = append(vs, r.Check(m)...)
+		stop()
 	}
 	return vs
 }

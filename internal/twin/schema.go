@@ -1,6 +1,10 @@
 package twin
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"strings"
+)
 
 // Schema pins what the deployment automation can represent: the closed
 // set of entity kinds, the numeric attributes each kind must carry, and
@@ -123,7 +127,7 @@ func (s *Schema) Check(m *Model) []Violation {
 }
 
 func (m *Model) allEntitiesSorted() []*Entity {
-	var out []*Entity
+	out := make([]*Entity, 0, len(m.entities))
 	for _, e := range m.entities {
 		out = append(out, e)
 	}
@@ -131,10 +135,8 @@ func (m *Model) allEntitiesSorted() []*Entity {
 	return out
 }
 
+// sortEntities orders entities by ID. IDs are unique, so the order is
+// total and the sort's instability is unobservable.
 func sortEntities(es []*Entity) {
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && es[j].ID < es[j-1].ID; j-- {
-			es[j], es[j-1] = es[j-1], es[j]
-		}
-	}
+	slices.SortFunc(es, func(a, b *Entity) int { return strings.Compare(a.ID, b.ID) })
 }

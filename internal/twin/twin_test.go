@@ -6,6 +6,7 @@ import (
 
 	"physdep/internal/cabling"
 	"physdep/internal/floorplan"
+	"physdep/internal/obs"
 	"physdep/internal/placement"
 	"physdep/internal/topology"
 )
@@ -244,7 +245,9 @@ func TestSavings(t *testing.T) {
 	}
 }
 
-func TestFromNetworkBuildsCleanModel(t *testing.T) {
+// fatTreeTwin builds the twin of a placed, cable-planned K=4 fat-tree.
+func fatTreeTwin(t *testing.T) (*Model, *topology.Topology, *cabling.Plan) {
+	t.Helper()
 	ft, err := topology.FatTree(topology.FatTreeConfig{K: 4, Rate: 100})
 	if err != nil {
 		t.Fatal(err)
@@ -265,6 +268,11 @@ func TestFromNetworkBuildsCleanModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m, ft, plan
+}
+
+func TestFromNetworkBuildsCleanModel(t *testing.T) {
+	m, ft, plan := fatTreeTwin(t)
 	// A well-formed build must pass schema and physics clean.
 	vs := CheckAll(m, DefaultSchema(), DefaultRules())
 	if len(vs) != 0 {
@@ -279,26 +287,7 @@ func TestFromNetworkBuildsCleanModel(t *testing.T) {
 }
 
 func TestFromNetworkDetectsPlantedViolation(t *testing.T) {
-	ft, err := topology.FatTree(topology.FatTreeConfig{K: 4, Rate: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := floorplan.NewFloorplan(floorplan.DefaultHall(3, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := placement.Greedy(ft, f, placement.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := cabling.PlanCables(f, cabling.DefaultCatalog(), p.Demands(nil), cabling.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := FromNetwork(p, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, _, _ := fatTreeTwin(t)
 	// Plant: shrink one tray to nearly nothing.
 	trays := m.EntitiesOfKind(KindTray)
 	var loaded *Entity
@@ -321,5 +310,29 @@ func TestFromNetworkDetectsPlantedViolation(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("planted tray violation not caught: %v", vs)
+	}
+}
+
+// TestCheckAllTimesEachCheck: with obs collection on, the schema check
+// and every rule land in their own twin.check.<name> timer.
+func TestCheckAllTimesEachCheck(t *testing.T) {
+	m, _, _ := fatTreeTwin(t)
+	obs.Reset()
+	obs.Enable()
+	defer func() {
+		obs.Disable()
+		obs.Reset()
+	}()
+	rules := DefaultRules()
+	CheckAll(m, DefaultSchema(), rules)
+	counters := obs.TakeSnapshot().Counters
+	names := []string{"schema"}
+	for _, r := range rules {
+		names = append(names, r.Name())
+	}
+	for _, name := range names {
+		if got := counters["twin.check."+name+".calls"]; got != 1 {
+			t.Errorf("twin.check.%s.calls = %d, want 1", name, got)
+		}
 	}
 }
