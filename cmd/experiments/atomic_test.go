@@ -14,10 +14,10 @@ import (
 func TestAtomicWriteFileReplacesWholesale(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "artifact.json")
-	if err := atomicWriteFile(path, []byte("first")); err != nil {
+	if err := writeFile(path, []byte("first")); err != nil {
 		t.Fatal(err)
 	}
-	if err := atomicWriteFile(path, []byte("second")); err != nil {
+	if err := writeFile(path, []byte("second")); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)

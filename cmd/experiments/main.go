@@ -30,7 +30,7 @@
 //
 // The manifest (see manifest.go) is the superset of the bench report:
 // per-experiment wall/alloc plus the full span forest (each
-// core.Evaluate's placement/cabling/deploy/twin phase breakdown), kernel
+// core.EvaluateCtx's placement/cabling/deploy/twin phase breakdown), kernel
 // counters, and per-worker task counts.
 package main
 
@@ -39,6 +39,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -48,6 +49,7 @@ import (
 	"syscall"
 	"time"
 
+	"physdep/internal/atomicfile"
 	"physdep/internal/core"
 	"physdep/internal/experiments"
 	"physdep/internal/floorplan"
@@ -292,7 +294,7 @@ func writeGolden(ctx context.Context, ids []string, dir string) error {
 	}
 	for _, o := range outs {
 		path := filepath.Join(dir, o.ID+".txt")
-		if err := atomicWriteFile(path, []byte(o.Res.Render())); err != nil {
+		if err := writeFile(path, []byte(o.Res.Render())); err != nil {
 			return err
 		}
 		fmt.Println(path)
@@ -445,29 +447,15 @@ func writeJSON(path string, v any) error {
 	if err != nil {
 		return err
 	}
-	return atomicWriteFile(path, append(b, '\n'))
+	return writeFile(path, append(b, '\n'))
 }
 
-// atomicWriteFile writes data to path via a temp file in the same
-// directory plus rename, so readers (and a previous good artifact) never
-// see a torn write: a crash or cancellation mid-write leaves the old
-// file byte-for-byte intact.
-func atomicWriteFile(path string, data []byte) error {
-	dir, base := filepath.Split(path)
-	tmp, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
+// writeFile replaces path with data atomically (atomicfile.Write), so a
+// crash or cancellation mid-write leaves the old artifact byte-for-byte
+// intact.
+func writeFile(path string, data []byte) error {
+	return atomicfile.Write(path, 0o644, func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	})
 }

@@ -12,15 +12,19 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand/v2"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 
 	"physdep/internal/cli"
 	"physdep/internal/interchange"
+	"physdep/internal/physerr"
 	"physdep/internal/trafficsim"
 	"physdep/internal/units"
 )
@@ -43,6 +47,10 @@ func main() {
 		topoFile = flag.String("topo-file", "", "profile an interchange document instead of generating (overrides -topo)")
 	)
 	flag.Parse()
+	// ^C/SIGTERM cancel the profile gracefully (one-line diagnostic,
+	// nonzero exit); a second signal kills it the usual way.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	params := cli.TopoParams{
 		Name: *topoName, K: *k, N: *n, Radix: *radix, Net: *net, D: *d,
 		Lift: *lift, Q: *q, Spines: *spines, Rate: units.Gbps(*rate), Seed: *seed,
@@ -52,22 +60,26 @@ func main() {
 	}
 	tp, err := cli.BuildTopology(params)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	if *emit != "" {
 		doc := interchange.FromTopology(tp)
 		doc.Generator = &interchange.Provenance{Tool: "topogen", Family: params.Name, Spec: specJSON(params)}
 		if err := interchange.EmitFile(*emit, doc); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		fmt.Printf("emitted: %s\n", *emit)
 	}
-	st := tp.BasicStats()
+	st, err := tp.BasicStatsCtx(ctx)
+	if err != nil {
+		fatal(err)
+	}
 	rng := rand.New(rand.NewPCG(*seed, *seed^0x70706f))
 	gap := tp.SpectralGap(300, rng)
-	bisect := tp.BisectionEstimate(6, rng)
+	bisect, err := tp.BisectionEstimateCtx(ctx, 6, rng)
+	if err != nil {
+		fatal(err)
+	}
 	fmt.Printf("topology: %s\n", tp.Name)
 	fmt.Printf("  switches: %d   links: %d   servers: %d\n", st.Switches, st.Links, st.Servers)
 	min, max := tp.MinMaxDegree()
@@ -76,17 +88,28 @@ func main() {
 	fmt.Printf("  spectral gap: %.4f   bisection (heuristic): %.0f Gbps\n", gap, bisect)
 	if *tput {
 		tors := tp.ToRs()
+		if len(tors) == 0 {
+			fatal(physerr.OutOfRange("topogen: -throughput needs ToRs to carry traffic; %s has none", tp.Name))
+		}
 		per := float64(tp.Nodes[tors[0]].ServerPorts) * *rate
 		m := trafficsim.Uniform(len(tors), per)
 		ae, err := trafficsim.ECMPThroughput(tp, m)
-		if err == nil {
-			fmt.Printf("  uniform-traffic alpha (ECMP): %.3f\n", ae)
+		if err != nil {
+			fatal(err)
 		}
-		ak, err := trafficsim.KSPThroughput(tp, m, trafficsim.DefaultKSP())
-		if err == nil {
-			fmt.Printf("  uniform-traffic alpha (KSP-8): %.3f\n", ak)
+		fmt.Printf("  uniform-traffic alpha (ECMP): %.3f\n", ae)
+		ak, err := trafficsim.KSPThroughputCtx(ctx, tp, m, trafficsim.DefaultKSP())
+		if err != nil {
+			fatal(err)
 		}
+		fmt.Printf("  uniform-traffic alpha (KSP-8): %.3f\n", ak)
 	}
+}
+
+// fatal prints the one-line diagnostic and exits nonzero.
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "error:", err)
+	os.Exit(1)
 }
 
 // specJSON renders the generator parameters as canonical JSON for the

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -67,11 +68,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	au, err := trafficsim.KSPThroughput(tu, tm, trafficsim.DefaultKSP())
+	au, err := trafficsim.KSPThroughputCtx(context.Background(), tu, tm, trafficsim.DefaultKSP())
 	if err != nil {
 		log.Fatal(err)
 	}
-	ae, err := trafficsim.KSPThroughput(te, tm, trafficsim.DefaultKSP())
+	ae, err := trafficsim.KSPThroughputCtx(context.Background(), te, tm, trafficsim.DefaultKSP())
 	if err != nil {
 		log.Fatal(err)
 	}

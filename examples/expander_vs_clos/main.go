@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand/v2"
@@ -30,11 +31,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	ftRep, err := core.Evaluate(core.DefaultInput(ft, hall))
+	ftRep, err := core.EvaluateCtx(context.Background(), core.DefaultInput(ft, hall))
 	if err != nil {
 		log.Fatal(err)
 	}
-	jfRep, err := core.Evaluate(core.DefaultInput(jf, hall))
+	jfRep, err := core.EvaluateCtx(context.Background(), core.DefaultInput(jf, hall))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -84,7 +85,7 @@ func main() {
 		Costs:       lifecycle.DefaultActionCosts(m),
 		AnnealSteps: 2000, Restarts: 4, RewireTries: 64, Seed: 42,
 	}
-	plan, err := lifecycle.PlanGrowth(jf, lifecycle.JellyfishGrower{Cfg: jcfg}, pcfg)
+	plan, err := lifecycle.PlanGrowthCtx(context.Background(), jf, lifecycle.JellyfishGrower{Cfg: jcfg}, pcfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,8 +30,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	bs := before.AllPairsStats(before.SwitchesByRole(topology.RoleAgg))
-	as := after.AllPairsStats(nil)
+	bs, err := before.AllPairsStatsCtx(context.Background(), before.SwitchesByRole(topology.RoleAgg))
+	if err != nil {
+		log.Fatal(err)
+	}
+	as, err := after.AllPairsStatsCtx(context.Background(), nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("logical change:")
 	fmt.Printf("  before: %d blocks (%d spine), agg-to-agg %d block hops\n",
 		before.NumSwitches(), 16, bs.Diameter)

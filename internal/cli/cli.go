@@ -94,7 +94,11 @@ func BuildTopology(p TopoParams) (*topology.Topology, error) {
 		if p.File == "" {
 			return nil, physerr.OutOfRange("cli: family %q needs a document path in the file field", p.Name)
 		}
-		t, _, err := interchange.LoadFile(p.File)
+		data, err := interchange.ReadDocFile(p.File)
+		if err != nil {
+			return nil, err
+		}
+		t, _, err := interchange.Load(data)
 		return t, err
 	}
 	// OutOfRange so the daemon maps a bad family to 422, like every

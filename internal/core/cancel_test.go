@@ -56,7 +56,7 @@ func TestEvaluateCtxLiveUncanceledMatchesEvaluate(t *testing.T) {
 	in := DefaultInput(ft, floorplan.DefaultHall(4, 12))
 	in.PlacementSteps = 2000
 	in.PlacementRestarts = 2
-	want, err := Evaluate(in)
+	want, err := EvaluateCtx(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ type Input struct {
 	// PlacementSteps > 0 runs simulated-annealing placement refinement.
 	PlacementSteps int
 	// PlacementRestarts > 1 runs that many independently seeded annealing
-	// chains in parallel and keeps the best (placement.OptimizeRestarts).
+	// chains in parallel and keeps the best (placement.OptimizeRestartsCtx).
 	PlacementRestarts int
 	// Techs is the deployment crew size (default 8).
 	Techs int
@@ -123,18 +123,15 @@ func (in Input) Validate() error {
 	return nil
 }
 
-// Evaluate runs the full pipeline. It is deterministic per Input.Seed.
-func Evaluate(in Input) (*Report, error) {
-	return EvaluateCtx(context.Background(), in)
-}
-
-// EvaluateCtx is Evaluate with cancellation. The context threads into
+// EvaluateCtx runs the full pipeline. It is deterministic per Input.Seed.
+//
+// The context threads into
 // every long-running phase — placement annealing, deployment execution,
 // and the sampled abstract stats (bisection estimate, all-pairs BFS) —
 // so a deadline interrupts an evaluation mid-phase, not just between
 // phases. A canceled evaluation returns a nil report and an error
-// matching physerr.ErrCanceled; a completed one is byte-identical to
-// Evaluate.
+// matching physerr.ErrCanceled; a completed one is byte-identical for
+// any context.
 func EvaluateCtx(ctx context.Context, in Input) (*Report, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ func evalFatTree(t *testing.T, k int) *Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Evaluate(DefaultInput(ft, floorplan.DefaultHall(4, 12)))
+	rep, err := EvaluateCtx(context.Background(), DefaultInput(ft, floorplan.DefaultHall(4, 12)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestEvaluateDeterministic(t *testing.T) {
 }
 
 func TestEvaluateNilTopology(t *testing.T) {
-	if _, err := Evaluate(Input{}); err == nil {
+	if _, err := EvaluateCtx(context.Background(), Input{}); err == nil {
 		t.Error("nil topology accepted")
 	}
 }
@@ -69,7 +70,7 @@ func TestEvaluateHallTooSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := DefaultInput(ft, floorplan.DefaultHall(1, 4))
-	if _, err := Evaluate(in); err == nil {
+	if _, err := EvaluateCtx(context.Background(), in); err == nil {
 		t.Error("undersized hall accepted")
 	}
 }
@@ -79,7 +80,7 @@ func TestEvaluateJellyfishLowBundleability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jrep, err := Evaluate(DefaultInput(jf, floorplan.DefaultHall(4, 12)))
+	jrep, err := EvaluateCtx(context.Background(), DefaultInput(jf, floorplan.DefaultHall(4, 12)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,12 +104,12 @@ func TestEvaluatePlacementAnnealImproves(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := DefaultInput(ft, floorplan.DefaultHall(4, 16))
-	plain, err := Evaluate(base)
+	plain, err := EvaluateCtx(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base.PlacementSteps = 6000
-	tuned, err := Evaluate(base)
+	tuned, err := EvaluateCtx(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestEvaluateMixedRatesDiversity(t *testing.T) {
 		tp.Link(l, s1)
 		tp.Link(l, s2)
 	}
-	rep, err := Evaluate(DefaultInput(tp, floorplan.DefaultHall(3, 8)))
+	rep, err := EvaluateCtx(context.Background(), DefaultInput(tp, floorplan.DefaultHall(3, 8)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -27,7 +28,7 @@ func TestEvaluateInputValidation(t *testing.T) {
 	}
 	for _, tc := range bad {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Evaluate(tc.in)
+			_, err := EvaluateCtx(context.Background(), tc.in)
 			if err == nil {
 				t.Fatal("invalid input was accepted")
 			}

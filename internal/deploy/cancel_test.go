@@ -20,11 +20,11 @@ func TestExecuteCtxPreCanceled(t *testing.T) {
 }
 
 // TestExecuteCtxLiveUncanceledMatches: a cancellable-but-quiet context
-// must schedule identically to the context-free path.
+// must schedule identically to context.Background() (no polling).
 func TestExecuteCtxLiveUncanceledMatches(t *testing.T) {
 	fx := newFixture(t)
 	dp := Build(fx.place, fx.plan, fx.model, BuildOptions{Prebundle: true})
-	want, err := Execute(dp, fx.model, fx.floor, ExecOptions{Techs: 4, Seed: 7})
+	want, err := ExecuteCtx(context.Background(), dp, fx.model, fx.floor, ExecOptions{Techs: 4, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,6 +36,6 @@ func TestExecuteCtxLiveUncanceledMatches(t *testing.T) {
 	}
 	if got.Makespan != want.Makespan || got.LaborMinutes != want.LaborMinutes ||
 		got.Reworks != want.Reworks || got.Connections != want.Connections {
-		t.Fatalf("cancellable schedule %+v != context-free %+v", got, want)
+		t.Fatalf("cancellable schedule %+v != background %+v", got, want)
 	}
 }

@@ -119,7 +119,7 @@ func TestQuickRegistryImmuneToCallerMutation(t *testing.T) {
 	}
 }
 
-// TestQuickRunManyPreservesInputOrder: RunMany's outcomes must land in
+// TestQuickRunManyPreservesInputOrder: RunManyCtx's outcomes must land in
 // input order with matching IDs, for any mix of known and unknown IDs —
 // the property the CLI's byte-identical presentation ordering rests on.
 // Unknown IDs keep the property test cheap: the ordering logic under
@@ -131,7 +131,7 @@ func TestQuickRunManyPreservesInputOrder(t *testing.T) {
 			// Nonexistent experiment IDs; E900–E999 are never registered.
 			ids[i] = fmt.Sprintf("E9%02d", p%100)
 		}
-		outs := RunMany(ids)
+		outs := RunManyCtx(context.Background(), ids)
 		if len(outs) != len(ids) {
 			return false
 		}

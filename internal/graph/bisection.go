@@ -8,7 +8,7 @@ import (
 	"physdep/internal/par"
 )
 
-// BisectionEstimate returns a heuristic upper bound on the bisection
+// BisectionEstimateCtx returns a heuristic upper bound on the bisection
 // bandwidth of g: the minimum, over restarts, of the capacity crossing a
 // balanced two-way partition found by randomized Fiduccia–Mattheyses-style
 // local search. It is an upper bound because any balanced cut witnesses
@@ -19,18 +19,12 @@ import (
 // so the answer depends only on (g, restarts, rng state), never on the
 // worker count. Edge capacities of zero count as 1, matching MaxFlow's
 // convention.
-func (g *Graph) BisectionEstimate(restarts int, rng *rand.Rand) float64 {
-	// A background context cannot cancel and the restart fn never errors,
-	// so the error is structurally nil here.
-	cut, _ := g.BisectionEstimateCtx(context.Background(), restarts, rng)
-	return cut
-}
-
-// BisectionEstimateCtx is BisectionEstimate with cancellation: ctx is
-// checked as restarts are handed out (par contract), and a canceled run
-// returns an error matching physerr.ErrCanceled. All restart seeds are
-// drawn from rng up front either way, so rng advances identically and a
-// completed run is byte-identical to BisectionEstimate.
+//
+// ctx is checked as restarts are handed out (par contract), and a
+// canceled run returns an error matching physerr.ErrCanceled; the restart
+// fn itself never errors. All restart seeds are drawn from rng up front
+// either way, so rng advances identically and a completed run is
+// byte-identical for any context.
 func (g *Graph) BisectionEstimateCtx(ctx context.Context, restarts int, rng *rand.Rand) (float64, error) {
 	if g.N < 2 || restarts < 1 {
 		return 0, nil

@@ -37,14 +37,15 @@ func TestBisectionEstimateCtxPreCanceled(t *testing.T) {
 }
 
 // TestCtxVariantsMatchContextFree: a live, never-fired cancellable
-// context must not move a number versus the context-free API.
+// context (the polling path) must not move a number versus
+// context.Background() (no polling: its Done channel is nil).
 func TestCtxVariantsMatchContextFree(t *testing.T) {
 	g := cycle(40)
 	nodes := make([]int, g.N)
 	for i := range nodes {
 		nodes[i] = i
 	}
-	want := g.AllPairsStats(nodes)
+	want := allPairs(t, g, nodes)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	got, err := g.AllPairsStatsCtx(ctx, nodes)
@@ -52,15 +53,15 @@ func TestCtxVariantsMatchContextFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Fatalf("cancellable run %+v != context-free %+v", got, want)
+		t.Fatalf("cancellable run %+v != background %+v", got, want)
 	}
 
-	wantB := cycle(16).BisectionEstimate(4, rand.New(rand.NewPCG(7, 7)))
+	wantB := bisect(t, cycle(16), 4, rand.New(rand.NewPCG(7, 7)))
 	gotB, err := cycle(16).BisectionEstimateCtx(ctx, 4, rand.New(rand.NewPCG(7, 7)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gotB != wantB {
-		t.Fatalf("cancellable bisection %v != context-free %v", gotB, wantB)
+		t.Fatalf("cancellable bisection %v != background %v", gotB, wantB)
 	}
 }

@@ -101,9 +101,9 @@ func TestFreezeInvalidation(t *testing.T) {
 	}
 	for i, o := range ops {
 		// Kernel call freezes…
-		g.AllPairsStats(nil)
+		allPairs(t, g, nil)
 		if !g.Frozen() {
-			t.Fatalf("before %q: AllPairsStats did not freeze", o.name)
+			t.Fatalf("before %q: AllPairsStatsCtx did not freeze", o.name)
 		}
 		// …mutation invalidates…
 		o.mutate(g)
@@ -112,8 +112,8 @@ func TestFreezeInvalidation(t *testing.T) {
 		}
 		// …and the re-frozen kernels must match a never-mutated twin.
 		fresh := rebuild(i + 1)
-		if got, want := g.AllPairsStats(nil), fresh.AllPairsStats(nil); got != want {
-			t.Errorf("after %q: AllPairsStats = %+v, fresh graph gives %+v", o.name, got, want)
+		if got, want := allPairs(t, g, nil), allPairs(t, fresh, nil); got != want {
+			t.Errorf("after %q: AllPairsStatsCtx = %+v, fresh graph gives %+v", o.name, got, want)
 		}
 		for u := 0; u < g.N; u++ {
 			if !reflect.DeepEqual(g.BFS(u), fresh.BFS(u)) {
@@ -122,8 +122,8 @@ func TestFreezeInvalidation(t *testing.T) {
 		}
 		gr := rand.New(rand.NewPCG(7, 9))
 		fr := rand.New(rand.NewPCG(7, 9))
-		if got, want := g.BisectionEstimate(3, gr), fresh.BisectionEstimate(3, fr); got != want {
-			t.Errorf("after %q: BisectionEstimate = %v, fresh graph gives %v", o.name, got, want)
+		if got, want := bisect(t, g, 3, gr), bisect(t, fresh, 3, fr); got != want {
+			t.Errorf("after %q: BisectionEstimateCtx = %v, fresh graph gives %v", o.name, got, want)
 		}
 		gr = rand.New(rand.NewPCG(3, 4))
 		fr = rand.New(rand.NewPCG(3, 4))
@@ -338,7 +338,7 @@ func TestDeltaFreezeConcurrent(t *testing.T) {
 func TestAllPairsStatsDisconnected(t *testing.T) {
 	g := New(5) // edgeless
 	for _, nodes := range [][]int{nil, {0, 2, 4}} {
-		st := g.AllPairsStats(nodes)
+		st := allPairs(t, g, nodes)
 		n := 5
 		if nodes != nil {
 			n = len(nodes)

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -18,6 +19,35 @@ func cycle(n int) *Graph {
 	g := path(n)
 	g.AddEdge(n-1, 0, 1)
 	return g
+}
+
+// allPairs, sampled and bisect run their kernel under
+// context.Background(), failing the test on error.
+func allPairs(t testing.TB, g *Graph, nodes []int) PathStats {
+	t.Helper()
+	st, err := g.AllPairsStatsCtx(context.Background(), nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+func sampled(t testing.TB, g *Graph, nodes []int, spec SampleSpec) SampledStats {
+	t.Helper()
+	st, err := g.AllPairsStatsSampledCtx(context.Background(), nodes, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+func bisect(t testing.TB, g *Graph, restarts int, rng *rand.Rand) float64 {
+	t.Helper()
+	cut, err := g.BisectionEstimateCtx(context.Background(), restarts, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cut
 }
 
 func complete(n int) *Graph {
@@ -134,7 +164,7 @@ func TestBFSUnreachable(t *testing.T) {
 
 func TestAllPairsStatsCycle(t *testing.T) {
 	g := cycle(6)
-	st := g.AllPairsStats(nil)
+	st := allPairs(t, g, nil)
 	if st.Diameter != 3 {
 		t.Errorf("C6 diameter = %d, want 3", st.Diameter)
 	}
@@ -149,7 +179,7 @@ func TestAllPairsStatsCycle(t *testing.T) {
 
 func TestAllPairsStatsSubset(t *testing.T) {
 	g := path(5)
-	st := g.AllPairsStats([]int{0, 4})
+	st := allPairs(t, g, []int{0, 4})
 	if st.Diameter != 4 {
 		t.Errorf("subset diameter = %d, want 4", st.Diameter)
 	}
@@ -211,7 +241,7 @@ func TestSpectralGapCompleteVsCycle(t *testing.T) {
 func TestBisectionEstimateCycle(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	// A cycle's balanced min cut is exactly 2.
-	got := cycle(12).BisectionEstimate(8, rng)
+	got := bisect(t, cycle(12), 8, rng)
 	if got != 2 {
 		t.Errorf("cycle bisection = %v, want 2", got)
 	}
@@ -228,7 +258,7 @@ func TestBisectionEstimateTwoCliques(t *testing.T) {
 	}
 	g.AddEdge(0, 4, 1)
 	rng := rand.New(rand.NewPCG(5, 6))
-	if got := g.BisectionEstimate(16, rng); got != 1 {
+	if got := bisect(t, g, 16, rng); got != 1 {
 		t.Errorf("two-clique bisection = %v, want 1", got)
 	}
 }
@@ -306,7 +336,7 @@ func TestQuickDistanceMonotonicity(t *testing.T) {
 			}
 		}
 		before := g.BFS(0)
-		st := g.AllPairsStats(nil)
+		st := allPairs(t, g, nil)
 		if st.Reachable > 0 && st.MeanHops > float64(st.Diameter) {
 			return false
 		}

@@ -22,11 +22,11 @@ const (
 	// sweep is still cheap, and every experiment in the classic E1–E22
 	// band sits far below it — which is what keeps their tables exact
 	// (and byte-identical) with the sampled estimator threaded through
-	// core.Evaluate.
+	// core.EvaluateCtx.
 	DefaultExhaustiveBelow = 2048
 )
 
-// SampleSpec configures AllPairsStatsSampled. The zero value means "128
+// SampleSpec configures AllPairsStatsSampledCtx. The zero value means "128
 // sources, seed 0, exhaustive at or below 2048 nodes".
 type SampleSpec struct {
 	// Sources is the number of BFS sources to sample (without
@@ -77,7 +77,7 @@ func (s SampleSpec) exhaustiveBelow() int {
 //     Hoeffding alternative.
 //
 // When Exact is true the exhaustive fallback ran and every field is the
-// exact AllPairsStats value (MeanHopsCI 0).
+// exact AllPairsStatsCtx value (MeanHopsCI 0).
 type SampledStats struct {
 	PathStats
 	Sources    int  // BFS sources actually swept
@@ -85,8 +85,8 @@ type SampledStats struct {
 	MeanHopsCI float64
 }
 
-// AllPairsStatsSampled estimates AllPairsStats over nodes (all nodes if
-// nil) from a seeded uniform sample of BFS sources, making fleet-scale
+// AllPairsStatsSampledCtx estimates AllPairsStatsCtx over nodes (all nodes
+// if nil) from a seeded uniform sample of BFS sources, making fleet-scale
 // path statistics O(Sources · (N + E)) instead of the exhaustive sweep's
 // O(|nodes| · (N + E)). Node sets at or below spec.ExhaustiveBelow run
 // the exact sweep instead — so small graphs lose nothing, and callers can
@@ -96,17 +96,10 @@ type SampledStats struct {
 // from par.Rand's per-index PCG streams, and the sweep reduces exact
 // integer state per worker — the estimate depends only on (nodes, spec),
 // never on the worker count. The workers-1-vs-8 suite pins this.
-func (g *Graph) AllPairsStatsSampled(nodes []int, spec SampleSpec) SampledStats {
-	// A background context cannot cancel, and the sweep has no other
-	// failure mode, so the error is structurally nil here.
-	st, _ := g.AllPairsStatsSampledCtx(context.Background(), nodes, spec)
-	return st
-}
-
-// AllPairsStatsSampledCtx is AllPairsStatsSampled with cancellation: ctx
-// is checked before each source's BFS, and a canceled sweep returns an
-// error matching physerr.ErrCanceled. A sweep that completes is
-// byte-identical to AllPairsStatsSampled.
+//
+// ctx is checked before each source's BFS, and a canceled sweep returns
+// an error matching physerr.ErrCanceled. A sweep that completes is
+// byte-identical for any context.
 func (g *Graph) AllPairsStatsSampledCtx(ctx context.Context, nodes []int, spec SampleSpec) (SampledStats, error) {
 	nodes = g.allNodes(nodes)
 	n := len(nodes)

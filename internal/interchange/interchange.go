@@ -48,8 +48,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
+	"physdep/internal/atomicfile"
 	"physdep/internal/floorplan"
 	"physdep/internal/physerr"
 	"physdep/internal/topology"
@@ -63,7 +63,7 @@ const (
 	Format  = "physdep-topology"
 	Version = 1
 
-	// MaxDocBytes bounds how much LoadFile will read: documents are a few
+	// MaxDocBytes bounds how much LoadFileCtx will read: documents are a few
 	// dozen bytes per switch and per link, so even a MaxSwitches-sized
 	// fabric fits comfortably, and a runaway or hostile file fails fast
 	// instead of exhausting memory.
@@ -190,32 +190,17 @@ func Emit(w io.Writer, t *topology.Topology) error {
 	return err
 }
 
-// EmitFile writes d to path atomically (temp file in path's directory +
-// rename), so a crash mid-write can never leave a torn document where a
-// good one was — the same discipline as every other artifact writer in
-// the repo.
+// EmitFile writes d to path atomically (atomicfile.Write), so a crash
+// mid-write can never leave a torn document where a good one was.
 func EmitFile(path string, d *Document) error {
 	b, err := d.Encode()
 	if err != nil {
 		return err
 	}
-	dir, base := filepath.Split(path)
-	tmp, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
+	return atomicfile.Write(path, 0o644, func(w io.Writer) error {
+		_, err := w.Write(b)
 		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	})
 }
 
 // Decode parses data as a document, strictly: unknown fields and
@@ -308,18 +293,15 @@ func (d *Document) Validate() error {
 	return nil
 }
 
-// Topology builds the fabric the document describes. The document must
-// already have passed Validate (Decode guarantees it); the built
+// topologyCtx builds the fabric the document describes. The document
+// must already have passed Validate (Decode guarantees it); the built
 // topology additionally passes topology.Validate — port fit and
 // connectivity — so a document claiming more links than its switches
 // have ports, or describing a disconnected fabric, is rejected here.
-func (d *Document) Topology() (*topology.Topology, error) {
-	return d.topologyCtx(context.Background())
-}
-
-// topologyCtx is Topology with cancellation polled at coarse strides
-// (every few thousand nodes/edges), so loading a fleet-scale document
-// respects the caller's deadline without per-element overhead.
+//
+// Cancellation is polled at coarse strides (every few thousand
+// nodes/edges), so loading a fleet-scale document respects the caller's
+// deadline without per-element overhead.
 func (d *Document) topologyCtx(ctx context.Context) (*topology.Topology, error) {
 	const stride = 8192
 	poll := ctx.Done() != nil
@@ -358,14 +340,16 @@ func (d *Document) topologyCtx(ctx context.Context) (*topology.Topology, error) 
 	return t, nil
 }
 
-// Load decodes, validates, and builds in one step, returning both the
-// topology and the document (for its hall geometry and provenance).
+// Load is LoadCtx under a context that never cancels.
 func Load(data []byte) (*topology.Topology, *Document, error) {
+	// ctx: perfbench calls this context-free name and pins its
+	// signature; every caller with a context uses LoadCtx.
 	return LoadCtx(context.Background(), data)
 }
 
-// LoadCtx is Load with cancellation. A canceled load returns an error
-// matching physerr.ErrCanceled.
+// LoadCtx decodes, validates, and builds in one step, returning both the
+// topology and the document (for its hall geometry and provenance). A
+// canceled load returns an error matching physerr.ErrCanceled.
 func LoadCtx(ctx context.Context, data []byte) (*topology.Topology, *Document, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, physerr.Canceled(err)
@@ -381,13 +365,8 @@ func LoadCtx(ctx context.Context, data []byte) (*topology.Topology, *Document, e
 	return t, d, nil
 }
 
-// LoadFile reads and loads a document from path, refusing files larger
+// LoadFileCtx reads and loads a document from path, refusing files larger
 // than MaxDocBytes before reading them whole.
-func LoadFile(path string) (*topology.Topology, *Document, error) {
-	return LoadFileCtx(context.Background(), path)
-}
-
-// LoadFileCtx is LoadFile with cancellation.
 func LoadFileCtx(ctx context.Context, path string) (*topology.Topology, *Document, error) {
 	data, err := ReadDocFile(path)
 	if err != nil {

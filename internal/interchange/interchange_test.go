@@ -14,8 +14,8 @@ import (
 	"physdep/internal/cli"
 	"physdep/internal/core"
 	"physdep/internal/floorplan"
-	"physdep/internal/physerr"
 	"physdep/internal/interchange"
+	"physdep/internal/physerr"
 	"physdep/internal/topology"
 )
 
@@ -82,11 +82,11 @@ func TestRoundTripByteIdentical(t *testing.T) {
 
 			// Evaluation: full pipeline reports must serialize to the same
 			// bytes.
-			origReport, err := core.Evaluate(core.DefaultInput(orig, hall))
+			origReport, err := core.EvaluateCtx(context.Background(), core.DefaultInput(orig, hall))
 			if err != nil {
 				t.Fatalf("evaluate original: %v", err)
 			}
-			loadedReport, err := core.Evaluate(core.DefaultInput(loaded, hall))
+			loadedReport, err := core.EvaluateCtx(context.Background(), core.DefaultInput(loaded, hall))
 			if err != nil {
 				t.Fatalf("evaluate loaded: %v", err)
 			}
@@ -116,7 +116,7 @@ func TestRoundTripByteIdentical(t *testing.T) {
 }
 
 // TestRoundTripFile covers the disk path: EmitFile is atomic and
-// LoadFile reproduces the in-memory round trip.
+// LoadFileCtx reproduces the in-memory round trip.
 func TestRoundTripFile(t *testing.T) {
 	orig, err := cli.BuildTopology(familyParams["jellyfish"])
 	if err != nil {
@@ -129,7 +129,7 @@ func TestRoundTripFile(t *testing.T) {
 	if err := interchange.EmitFile(path, doc); err != nil {
 		t.Fatalf("emit: %v", err)
 	}
-	loaded, d2, err := interchange.LoadFile(path)
+	loaded, d2, err := interchange.LoadFileCtx(context.Background(), path)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -293,7 +293,7 @@ func TestParallelEdgesAreLegal(t *testing.T) {
 
 func TestLoadFileBounds(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "absent.json")
-	if _, _, err := interchange.LoadFile(path); err == nil {
+	if _, _, err := interchange.LoadFileCtx(context.Background(), path); err == nil {
 		t.Error("missing file accepted")
 	}
 	// A canceled context must short-circuit with the canceled kind.

@@ -290,13 +290,10 @@ type workOrder struct {
 	racks          []int
 }
 
-// PlanGrowth plans cfg's schedule for the topology using the grower's
+// PlanGrowthCtx plans cfg's schedule for the topology using the grower's
 // family rules. The input topology is cloned and never mutated.
-func PlanGrowth(t *topology.Topology, g Grower, cfg PlannerConfig) (*Plan, error) {
-	return PlanGrowthCtx(context.Background(), t, g, cfg)
-}
-
-// PlanGrowthCtx is PlanGrowth with cancellation, checked on entry,
+//
+// Cancellation is checked on entry,
 // between stages, inside each stage's all-pairs sweep, and inside the
 // ordering anneal. A canceled run returns an error matching
 // physerr.ErrCanceled and commits nothing — the caller's topology is

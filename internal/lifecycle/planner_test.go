@@ -66,11 +66,11 @@ func TestPlannerConfigValidate(t *testing.T) {
 }
 
 // TestPlanGrowthCapacity: a floor too small for the schedule's final
-// switch count is a capacity error from PlanGrowth (it needs t.N).
+// switch count is a capacity error from PlanGrowthCtx (it needs t.N).
 func TestPlanGrowthCapacity(t *testing.T) {
 	jf, g, cfg := plannerFixture(t)
 	cfg.Floor.Rows, cfg.Floor.Cols = 2, 3 // 6 racks × 4 ToRs < 27 switches
-	if _, err := PlanGrowth(jf, g, cfg); !errors.Is(err, physerr.ErrCapacity) {
+	if _, err := PlanGrowthCtx(context.Background(), jf, g, cfg); !errors.Is(err, physerr.ErrCapacity) {
 		t.Fatalf("undersized floor: err = %v, want ErrCapacity", err)
 	}
 }
@@ -160,7 +160,7 @@ func TestPlanGrowthCancel(t *testing.T) {
 func TestPlanGrowthInputUntouched(t *testing.T) {
 	jf, g, cfg := plannerFixture(t)
 	n, edges := jf.N, jf.NumEdges()
-	if _, err := PlanGrowth(jf, g, cfg); err != nil {
+	if _, err := PlanGrowthCtx(context.Background(), jf, g, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if jf.N != n || jf.NumEdges() != edges {
@@ -177,11 +177,11 @@ func TestPlannedOrderingNoWorseThanNaive(t *testing.T) {
 	cfg.Stages = []GrowthStage{{AddToRs: 4, AddTrunks: 4}, {AddToRs: 2, AddTrunks: 2}}
 	naiveCfg := cfg
 	naiveCfg.AnnealSteps = 0
-	naive, err := PlanGrowth(jf, g, naiveCfg)
+	naive, err := PlanGrowthCtx(context.Background(), jf, g, naiveCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	planned, err := PlanGrowth(jf, g, cfg)
+	planned, err := PlanGrowthCtx(context.Background(), jf, g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestXpanderGrowerLegality(t *testing.T) {
 		Costs:       DefaultActionCosts(costmodel.Default()),
 		RewireTries: 16, Seed: 7,
 	}
-	plan, err := PlanGrowth(x, g, cfg)
+	plan, err := PlanGrowthCtx(context.Background(), x, g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestPlanGrowthDeltaFreeze(t *testing.T) {
 		obs.Reset()
 	}()
 	before := obs.TakeSnapshot().Counters
-	plan, err := PlanGrowth(jf, JellyfishGrower{Cfg: cfg}, pcfg)
+	plan, err := PlanGrowthCtx(context.Background(), jf, JellyfishGrower{Cfg: cfg}, pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestPlanGrowthCancelReachesStageSweep(t *testing.T) {
 	jf, g, cfg := plannerFixture(t)
 	cfg.Stages = cfg.Stages[:1]
 	cfg.AnnealSteps = 0
-	if _, err := PlanGrowth(jf, g, cfg); err != nil {
+	if _, err := PlanGrowthCtx(context.Background(), jf, g, cfg); err != nil {
 		t.Fatalf("uncanceled run: %v", err)
 	}
 	ctx := &pollCountdown{Context: context.Background(), done: make(chan struct{}), after: 2}

@@ -52,10 +52,11 @@ func TestCtxDeadlineClassified(t *testing.T) {
 }
 
 // TestCtxLiveUncanceledMatchesBackground is the §6 contract extended to
-// cancellation: a live cancellable context that never fires must produce
-// results byte-identical to the context-free path, at any worker count.
+// cancellation: a live cancellable context that never fires (the polling
+// path) must produce results byte-identical to context.Background() (the
+// no-poll path, whose Done channel is nil), at any worker count.
 func TestCtxLiveUncanceledMatchesBackground(t *testing.T) {
-	want, err := Map(64, func(i int) (int, error) { return i * i, nil })
+	want, err := MapCtx(context.Background(), 64, func(i int) (int, error) { return i * i, nil })
 	if err != nil {
 		t.Fatal(err)
 	}

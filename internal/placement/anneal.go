@@ -128,17 +128,11 @@ func (s *annealState) Propose(rng *rand.Rand) (float64, func(), bool) {
 	}, true
 }
 
-// Optimize improves the placement by simulated annealing, returning the
-// cable-length before and after. The placement is modified in place.
-func Optimize(p *Placement, steps int, seed uint64) (before, after units.Meters) {
-	// A background context cannot cancel, so the error is structurally
-	// nil here.
-	before, after, _ = OptimizeCtx(context.Background(), p, steps, seed)
-	return before, after
-}
-
-// OptimizeCtx is Optimize with cancellation (checked between annealing
-// chunks; see solver.AnnealCtx). Single-chain annealing mutates p in
+// OptimizeCtx improves the placement by simulated annealing, returning
+// the cable-length before and after. The placement is modified in place.
+//
+// ctx is checked between annealing chunks (see solver.AnnealCtx).
+// Single-chain annealing mutates p in
 // place, so a canceled run leaves p at the last accepted move — a valid,
 // typically already-improved placement — and returns an error matching
 // physerr.ErrCanceled. Callers that need all-or-nothing semantics under
@@ -161,29 +155,23 @@ func annealConfig(before units.Meters, steps int, seed uint64) solver.AnnealConf
 	return cfg
 }
 
-// OptimizeRestarts is Optimize's multi-restart mode: restarts
+// OptimizeRestartsCtx is OptimizeCtx's multi-restart mode: restarts
 // independently seeded annealing chains run in parallel, each on its own
 // clone of p, and the chain with the shortest final cable length (ties
 // broken by lowest chain index) is installed back into p. Chain 0 runs
-// the exact schedule Optimize(p, steps, seed) would, so the result is
-// never worse than single-chain annealing, and the outcome is identical
-// for any worker count. restarts <= 1 is exactly Optimize.
-func OptimizeRestarts(p *Placement, steps int, seed uint64, restarts int) (before, after units.Meters) {
-	// A background context cannot cancel, so the error is structurally
-	// nil here.
-	before, after, _ = OptimizeRestartsCtx(context.Background(), p, steps, seed, restarts)
-	return before, after
-}
-
-// OptimizeRestartsCtx is OptimizeRestarts with cancellation. The chains
-// run on clones, so cancellation is all-or-nothing for p: a canceled run
-// abandons the clones, leaves p exactly as it was, and returns an error
-// matching physerr.ErrCanceled (before and after both report the
-// untouched length). A run that completes is byte-identical to
-// OptimizeRestarts.
+// the exact schedule OptimizeCtx(ctx, p, steps, seed) would, so the
+// result is never worse than single-chain annealing, and the outcome is
+// identical for any worker count. restarts <= 1 anneals the single chain
+// OptimizeCtx would.
+//
+// The chains run on clones, so cancellation is all-or-nothing for p: a
+// canceled run abandons the clones, leaves p exactly as it was, and
+// returns an error matching physerr.ErrCanceled (before and after both
+// report the untouched length). A run that completes is byte-identical
+// for any context.
 func OptimizeRestartsCtx(ctx context.Context, p *Placement, steps int, seed uint64, restarts int) (before, after units.Meters, err error) {
 	if restarts <= 1 {
-		// Mirror OptimizeRestarts' all-or-nothing contract even for the
+		// Keep the all-or-nothing contract even for the
 		// single-chain case: anneal a clone, adopt only on completion.
 		defer obs.Time("placement.optimize")()
 		before = p.CableLength()

@@ -56,12 +56,12 @@ func TestOptimizeRestartsCtxPreCanceledLeavesPlacementUntouched(t *testing.T) {
 }
 
 // TestOptimizeRestartsCtxLiveUncanceledMatches: with a live cancellable
-// context the multi-restart optimizer must land on the identical
-// placement as the context-free API.
+// context (the polling path) the multi-restart optimizer must land on
+// the identical placement as under context.Background() (no polling).
 func TestOptimizeRestartsCtxLiveUncanceledMatches(t *testing.T) {
 	a := cancelFixture(t)
 	b := cancelFixture(t)
-	_, wantAfter := OptimizeRestarts(a, 5000, 1, 2)
+	_, wantAfter := optimizeRestarts(t, a, 5000, 1, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	_, gotAfter, err := OptimizeRestartsCtx(ctx, b, 5000, 1, 2)
@@ -69,7 +69,7 @@ func TestOptimizeRestartsCtxLiveUncanceledMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	if gotAfter != wantAfter {
-		t.Fatalf("cancellable after %v != context-free %v", gotAfter, wantAfter)
+		t.Fatalf("cancellable after %v != background %v", gotAfter, wantAfter)
 	}
 	for r := range a.SlotOfRack {
 		if a.SlotOfRack[r] != b.SlotOfRack[r] {

@@ -1,11 +1,13 @@
 package placement
 
 import (
+	"context"
 	"testing"
 
 	"physdep/internal/floorplan"
 	"physdep/internal/par"
 	"physdep/internal/topology"
+	"physdep/internal/units"
 )
 
 func restartPlacement(t *testing.T) *Placement {
@@ -25,6 +27,26 @@ func restartPlacement(t *testing.T) *Placement {
 	return p
 }
 
+// optimize and optimizeRestarts run their annealer under
+// context.Background(), failing the test on error.
+func optimize(t *testing.T, p *Placement, steps int, seed uint64) (before, after units.Meters) {
+	t.Helper()
+	before, after, err := OptimizeCtx(context.Background(), p, steps, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return before, after
+}
+
+func optimizeRestarts(t *testing.T, p *Placement, steps int, seed uint64, restarts int) (before, after units.Meters) {
+	t.Helper()
+	before, after, err := OptimizeRestartsCtx(context.Background(), p, steps, seed, restarts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return before, after
+}
+
 // TestOptimizeRestartsDeterministicAcrossWorkerCounts: the multi-restart
 // annealer must pick the same winning chain — and install the same slot
 // assignment — whether the chains ran serially or in parallel.
@@ -33,7 +55,7 @@ func TestOptimizeRestartsDeterministicAcrossWorkerCounts(t *testing.T) {
 		par.SetWorkers(workers)
 		defer par.SetWorkers(0)
 		p := restartPlacement(t)
-		_, after := OptimizeRestarts(p, 3000, 7, 6)
+		_, after := optimizeRestarts(t, p, 3000, 7, 6)
 		return append([]int(nil), p.SlotOfRack...), float64(after)
 	}
 	slots1, after1 := layoutAt(1)
@@ -50,12 +72,12 @@ func TestOptimizeRestartsDeterministicAcrossWorkerCounts(t *testing.T) {
 
 // TestOptimizeRestartsNoWorseThanSingleChain: chain 0 replays the exact
 // single-chain schedule, so the best-of-N result can never lose to
-// Optimize with the same seed.
+// OptimizeCtx with the same seed.
 func TestOptimizeRestartsNoWorseThanSingleChain(t *testing.T) {
 	pSingle := restartPlacement(t)
-	_, afterSingle := Optimize(pSingle, 3000, 7)
+	_, afterSingle := optimize(t, pSingle, 3000, 7)
 	pMulti := restartPlacement(t)
-	_, afterMulti := OptimizeRestarts(pMulti, 3000, 7, 6)
+	_, afterMulti := optimizeRestarts(t, pMulti, 3000, 7, 6)
 	if afterMulti > afterSingle {
 		t.Fatalf("multi-restart ended at %v, worse than single-chain %v", afterMulti, afterSingle)
 	}
@@ -69,7 +91,7 @@ func TestOptimizeRestartsPreservesRUAccounting(t *testing.T) {
 	for i := 0; i < p.Floor.NumRacks(); i++ {
 		wantTotal += p.Floor.UsedRU(i)
 	}
-	OptimizeRestarts(p, 2000, 3, 4)
+	optimizeRestarts(t, p, 2000, 3, 4)
 	gotTotal := 0
 	used := 0
 	for i := 0; i < p.Floor.NumRacks(); i++ {

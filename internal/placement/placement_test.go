@@ -169,7 +169,7 @@ func TestOptimizeReducesCableLength(t *testing.T) {
 		}
 		p.SlotOfRack[i], p.SlotOfRack[j] = sb, sa
 	}
-	before, after := Optimize(p, 8000, 3)
+	before, after := optimize(t, p, 8000, 3)
 	if after >= before {
 		t.Errorf("anneal did not improve: %v -> %v", before, after)
 	}

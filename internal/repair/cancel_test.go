@@ -19,19 +19,19 @@ func TestSimulateCtxPreCanceled(t *testing.T) {
 		t.Fatalf("Simulate: got %v, want ErrCanceled", err)
 	}
 	if _, err := SimulateManyCtx(ctx, sys, 8760, 4, 8, 1); !errors.Is(err, physerr.ErrCanceled) {
-		t.Fatalf("SimulateMany: got %v, want ErrCanceled", err)
+		t.Fatalf("SimulateManyCtx: got %v, want ErrCanceled", err)
 	}
 }
 
 // TestSimulateCtxLiveUncanceledMatches: a cancellable-but-quiet context
-// must reproduce the context-free run exactly — same failures, same
-// availability, to the last bit.
+// must reproduce the context.Background() run (no polling) exactly —
+// same failures, same availability, to the last bit.
 func TestSimulateCtxLiveUncanceledMatches(t *testing.T) {
 	sys, err := SwitchFleet(4, 32, 8, 2000, 500, 60, 120, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Simulate(sys, 8760, 4, 21)
+	want, err := SimulateCtx(context.Background(), sys, 8760, 4, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,6 +42,6 @@ func TestSimulateCtxLiveUncanceledMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Fatalf("cancellable run %+v != context-free %+v", got, want)
+		t.Fatalf("cancellable run %+v != background %+v", got, want)
 	}
 }

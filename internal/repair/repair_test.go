@@ -1,6 +1,7 @@
 package repair
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -50,7 +51,7 @@ func TestSimulateNoFailuresAtZeroRate(t *testing.T) {
 	sys := &System{TotalPorts: 100, Components: []Component{
 		{ID: 0, FITs: 0, RepairMinutes: 60, DrainPorts: 10},
 	}}
-	res, err := Simulate(sys, 8760, 1, 1)
+	res, err := SimulateCtx(context.Background(), sys, 8760, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +66,11 @@ func TestSimulateHighRateReducesAvailability(t *testing.T) {
 			{ID: 0, FITs: fits, RepairMinutes: 240, TravelMinutes: 20, DrainPorts: 64},
 		}}
 	}
-	lo, err := Simulate(mk(1e5), 8760, 2, 7)
+	lo, err := SimulateCtx(context.Background(), mk(1e5), 8760, 2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := Simulate(mk(1e7), 8760, 2, 7)
+	hi, err := SimulateCtx(context.Background(), mk(1e7), 8760, 2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestSimulateExpectedFailureCount(t *testing.T) {
 	sys := &System{TotalPorts: 1, Components: []Component{
 		{ID: 0, FITs: 1e6, RepairMinutes: 6, DrainPorts: 1},
 	}}
-	res, err := SimulateMany(sys, 10000, 1, 40, 3)
+	res, err := SimulateManyCtx(context.Background(), sys, 10000, 1, 40, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestSimulateAvailabilityMatchesAnalytic(t *testing.T) {
 	sys := &System{TotalPorts: 10, Components: []Component{
 		{ID: 0, FITs: 1e6, RepairMinutes: 120, DrainPorts: 10},
 	}}
-	res, err := SimulateMany(sys, 50000, 1, 30, 11)
+	res, err := SimulateManyCtx(context.Background(), sys, 50000, 1, 30, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +129,11 @@ func TestUnitOfRepairRadixEffect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := SimulateMany(small, 8760, 4, 20, 5)
+	rs, err := SimulateManyCtx(context.Background(), small, 8760, 4, 20, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := SimulateMany(big, 8760, 4, 20, 5)
+	rb, err := SimulateManyCtx(context.Background(), big, 8760, 4, 20, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +159,11 @@ func TestSimulateTechQueueing(t *testing.T) {
 		comps = append(comps, Component{ID: i, FITs: 5e5, RepairMinutes: 600, DrainPorts: 1})
 	}
 	sys := &System{TotalPorts: 50, Components: comps}
-	one, err := Simulate(sys, 8760, 1, 9)
+	one, err := SimulateCtx(context.Background(), sys, 8760, 1, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := Simulate(sys, 8760, 25, 9)
+	many, err := SimulateCtx(context.Background(), sys, 8760, 25, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +181,11 @@ func TestSimulateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Simulate(sys, 8760, 3, 77)
+	a, err := SimulateCtx(context.Background(), sys, 8760, 3, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Simulate(sys, 8760, 3, 77)
+	b, err := SimulateCtx(context.Background(), sys, 8760, 3, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,13 +196,13 @@ func TestSimulateDeterministic(t *testing.T) {
 
 func TestSimulateValidation(t *testing.T) {
 	sys := &System{TotalPorts: 1}
-	if _, err := Simulate(sys, 100, 0, 1); err == nil {
+	if _, err := SimulateCtx(context.Background(), sys, 100, 0, 1); err == nil {
 		t.Error("zero techs accepted")
 	}
-	if _, err := Simulate(sys, 0, 1, 1); err == nil {
+	if _, err := SimulateCtx(context.Background(), sys, 0, 1, 1); err == nil {
 		t.Error("zero horizon accepted")
 	}
-	if _, err := SimulateMany(sys, 100, 1, 0, 1); err == nil {
+	if _, err := SimulateManyCtx(context.Background(), sys, 100, 1, 0, 1); err == nil {
 		t.Error("zero runs accepted")
 	}
 }
@@ -210,7 +211,7 @@ func TestMTTRIncludesTravelAndRepair(t *testing.T) {
 	sys := &System{TotalPorts: 4, Components: []Component{
 		{ID: 0, FITs: 1e6, RepairMinutes: 100, TravelMinutes: 20, DrainPorts: 4},
 	}}
-	res, err := SimulateMany(sys, 20000, 4, 20, 13)
+	res, err := SimulateManyCtx(context.Background(), sys, 20000, 4, 20, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,11 +251,11 @@ func TestLocalizationExtendsMTTR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := SimulateMany(passive, 50000, 8, 10, 5)
+	rp, err := SimulateManyCtx(context.Background(), passive, 50000, 8, 10, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, err := SimulateMany(active, 50000, 8, 10, 5)
+	ra, err := SimulateManyCtx(context.Background(), active, 50000, 8, 10, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -55,7 +56,9 @@ type DocumentResponse struct {
 // (a document that cannot load is refused at the door, not at first
 // use), and pins its bytes in the bounded document cache under their
 // SHA-256. Uploading is idempotent: the same bytes always map to the
-// same digest.
+// same digest. The load runs under the request's context, bounded by the
+// server's RequestTimeout like every evaluation route, so a client that
+// hangs up stops a fleet-scale load and stores nothing.
 func (s *Server) handleDocument(w http.ResponseWriter, r *http.Request) {
 	obs.Inc("serve.requests.document")
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxDocumentBytes))
@@ -69,7 +72,13 @@ func (s *Server) handleDocument(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	t, _, err := interchange.Load(data)
+	ctx := r.Context()
+	if s.cfg.RequestTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
+		defer cancel()
+	}
+	t, _, err := interchange.LoadCtx(ctx, data)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
@@ -98,6 +107,10 @@ func (s *Server) handleDocument(w http.ResponseWriter, r *http.Request) {
 // resident document cache. A digest that is not resident — never
 // uploaded, or evicted — is a 422 telling the client to (re)upload,
 // which is the content-addressed analogue of a stale file path.
+//
+// buildTopo takes no context on purpose: it runs inside the topoStore's
+// shared single-flight build, whose result every waiting request reuses,
+// so one request's cancel must not abort it.
 func (s *Server) buildTopo(p cli.TopoParams) (*topology.Topology, error) {
 	if p.Name != "file" {
 		return cli.BuildTopology(p)

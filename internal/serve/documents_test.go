@@ -1,20 +1,21 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"physdep/internal/cli"
 	"physdep/internal/interchange"
 	"physdep/internal/obs"
 )
 
-// uploadSmallTopoDoc builds the smallTopo fabric with the generator,
-// emits it as an interchange document, uploads it, and returns the
-// digest reference plus the raw upload response.
-func uploadSmallTopoDoc(t *testing.T, h http.Handler) (string, DocumentResponse) {
+// smallTopoDoc builds the smallTopo fabric with the generator and emits
+// it as an interchange document.
+func smallTopoDoc(t *testing.T) []byte {
 	t.Helper()
 	var p cli.TopoParams
 	if err := json.Unmarshal([]byte(smallTopo), &p); err != nil {
@@ -28,7 +29,14 @@ func uploadSmallTopoDoc(t *testing.T, h http.Handler) (string, DocumentResponse)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr := do(h, nil, "POST", "/v1/documents", string(doc))
+	return doc
+}
+
+// uploadSmallTopoDoc uploads smallTopoDoc and returns the digest
+// reference plus the raw upload response.
+func uploadSmallTopoDoc(t *testing.T, h http.Handler) (string, DocumentResponse) {
+	t.Helper()
+	rr := do(h, nil, "POST", "/v1/documents", string(smallTopoDoc(t)))
 	if rr.Code != http.StatusOK {
 		t.Fatalf("upload = %d: %s", rr.Code, rr.Body)
 	}
@@ -123,6 +131,32 @@ func TestDocumentRejections(t *testing.T) {
 		body := `{"topo":{"name":"file","file":"` + ref + `"}}`
 		if rr := do(h, nil, "POST", "/v1/stats", body); rr.Code != http.StatusUnprocessableEntity {
 			t.Fatalf("%s: status = %d, want 422: %s", name, rr.Code, rr.Body)
+		}
+	}
+}
+
+// TestDocumentUploadHonoursRequestContext: the upload loads under the
+// request's context bounded by RequestTimeout, so a client gone before
+// the load (499) or a request past its deadline (504) stores nothing in
+// the document cache.
+func TestDocumentUploadHonoursRequestContext(t *testing.T) {
+	doc := string(smallTopoDoc(t))
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		ctx  context.Context
+		want int
+	}{
+		{"canceled request", Config{}, canceledCtx(), StatusClientClosedRequest},
+		{"expired request", Config{}, expiredCtx(t), http.StatusGatewayTimeout},
+		{"expired RequestTimeout", Config{RequestTimeout: time.Nanosecond}, nil, http.StatusGatewayTimeout},
+	} {
+		s := New(c.cfg)
+		if rr := do(s.Handler(), c.ctx, "POST", "/v1/documents", doc); rr.Code != c.want {
+			t.Fatalf("%s: upload = %d, want %d: %s", c.name, rr.Code, c.want, rr.Body)
+		}
+		if n := s.docs.len(); n != 0 {
+			t.Fatalf("%s: document cache holds %d entries, want 0", c.name, n)
 		}
 	}
 }

@@ -51,27 +51,20 @@ type AnnealResult struct {
 	FinalTemp float64
 }
 
-// Anneal runs Metropolis simulated annealing with geometric cooling.
-// The state must start at a valid configuration; on return it holds the
-// final (not necessarily best-seen) configuration, which for monotone
-// final temperatures near zero is effectively the best found.
-func Anneal(a Annealable, cfg AnnealConfig) AnnealResult {
-	// A background context cannot cancel, so the error is structurally
-	// nil here.
-	res, _ := AnnealCtx(context.Background(), a, cfg)
-	return res
-}
-
 // annealChunkSteps is how many annealing steps run between context
 // checks in AnnealCtx: coarse enough that the check cost vanishes into
 // the proposal cost, fine enough that a deadline stops a chain within
 // milliseconds on the placement problems in this repo.
 const annealChunkSteps = 1024
 
-// AnnealCtx is Anneal with cancellation, checked between cooling chunks
-// of annealChunkSteps proposals. A check never touches the rng or the
-// state, so a schedule that runs to completion is byte-identical to
-// Anneal; a canceled one returns the proposals-so-far tally alongside an
+// AnnealCtx runs Metropolis simulated annealing with geometric cooling.
+// The state must start at a valid configuration; on return it holds the
+// final (not necessarily best-seen) configuration, which for monotone
+// final temperatures near zero is effectively the best found.
+//
+// ctx is checked between cooling chunks of annealChunkSteps proposals. A
+// check never touches the rng or the state, so a schedule that runs to
+// completion is byte-identical for any context; a canceled one returns the proposals-so-far tally alongside an
 // error matching physerr.ErrCanceled, with the state left at the last
 // applied move (still a valid configuration — annealing states are valid
 // after every move, which is what makes stopping mid-schedule safe).
@@ -117,7 +110,7 @@ func AnnealCtx(ctx context.Context, a Annealable, cfg AnnealConfig) (AnnealResul
 
 // ChainSeed is the seed annealing chain c runs under for base seed s:
 // chain 0 keeps the base seed, so a one-chain restart run reproduces
-// plain Anneal exactly; higher chains get independent derived streams.
+// plain AnnealCtx exactly; higher chains get independent derived streams.
 func ChainSeed(s uint64, c int) uint64 {
 	if c == 0 {
 		return s
@@ -125,25 +118,19 @@ func ChainSeed(s uint64, c int) uint64 {
 	return par.SeedAt(s, c)
 }
 
-// AnnealRestarts runs one annealing chain per state in parallel — each
+// AnnealRestartsCtx runs one annealing chain per state in parallel — each
 // chain owns its state, chain c seeded by ChainSeed(cfg.Seed, c) — and
 // returns the index of the winning chain: lowest objective, ties broken
 // by lowest chain index. Chains are independent and their seeds are fixed
 // up front, so the winner is identical for any worker count. objective is
 // called after all chains finish, once per chain, in chain order.
-func AnnealRestarts(states []Annealable, cfg AnnealConfig, objective func(chain int) float64) (best int, chains []AnnealResult) {
-	// A background context cannot cancel and chain fns have no other
-	// failure mode, so the error is structurally nil here.
-	best, chains, _ = AnnealRestartsCtx(context.Background(), states, cfg, objective)
-	return best, chains
-}
-
-// AnnealRestartsCtx is AnnealRestarts with cancellation: ctx gates chain
-// hand-out (par contract) and the cooling chunks inside each running
-// chain. On cancellation the chain states are abandoned mid-schedule,
-// objective is never called, and best is -1 alongside an error matching
-// physerr.ErrCanceled. A run that completes is byte-identical to
-// AnnealRestarts.
+//
+// ctx gates chain hand-out (par contract) and the cooling chunks inside
+// each running chain; cancellation is the only failure mode. On
+// cancellation the chain states are abandoned mid-schedule, objective is
+// never called, and best is -1 alongside an error matching
+// physerr.ErrCanceled. A run that completes is byte-identical for any
+// context.
 func AnnealRestartsCtx(ctx context.Context, states []Annealable, cfg AnnealConfig, objective func(chain int) float64) (best int, chains []AnnealResult, err error) {
 	chains = make([]AnnealResult, len(states))
 	if len(states) == 0 {

@@ -46,13 +46,14 @@ func TestAnnealRestartsCtxPreCanceled(t *testing.T) {
 }
 
 // TestAnnealCtxLiveUncanceledMatchesAnneal: being cancellable (without
-// firing) must not perturb the schedule — same seed, same trajectory.
+// firing) must not perturb the schedule versus context.Background(),
+// whose nil Done channel skips the polling — same seed, same trajectory.
 func TestAnnealCtxLiveUncanceledMatchesAnneal(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 3))
 	a := newSumState(30, rng)
 	b := &sumState{vals: append([]int(nil), a.vals...), cost: a.cost}
 	cfg := AnnealConfig{Steps: 5000, T0: 5, T1: 0.01, Seed: 9}
-	want := Anneal(a, cfg)
+	want := anneal(t, a, cfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	got, err := AnnealCtx(ctx, b, cfg)
@@ -60,7 +61,7 @@ func TestAnnealCtxLiveUncanceledMatchesAnneal(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Fatalf("cancellable run %+v != context-free %+v", got, want)
+		t.Fatalf("cancellable run %+v != background run %+v", got, want)
 	}
 	if a.cost != b.cost {
 		t.Fatalf("final costs diverge: %v vs %v", a.cost, b.cost)

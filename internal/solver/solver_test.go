@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -33,11 +34,22 @@ func newSumState(n int, rng *rand.Rand) *sumState {
 	return s
 }
 
+// anneal is AnnealCtx under context.Background(), failing the test on
+// error.
+func anneal(t *testing.T, a Annealable, cfg AnnealConfig) AnnealResult {
+	t.Helper()
+	res, err := AnnealCtx(context.Background(), a, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestAnnealImproves(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 1))
 	s := newSumState(50, rng)
 	start := s.cost
-	res := Anneal(s, AnnealConfig{Steps: 20000, T0: 5, T1: 0.01, Seed: 42})
+	res := anneal(t, s, AnnealConfig{Steps: 20000, T0: 5, T1: 0.01, Seed: 42})
 	if s.cost >= start {
 		t.Errorf("anneal did not improve: %v -> %v", start, s.cost)
 	}
@@ -52,7 +64,7 @@ func TestAnnealImproves(t *testing.T) {
 func TestAnnealZeroSteps(t *testing.T) {
 	rng := rand.New(rand.NewPCG(2, 2))
 	s := newSumState(5, rng)
-	res := Anneal(s, AnnealConfig{Steps: 0})
+	res := anneal(t, s, AnnealConfig{Steps: 0})
 	if res.Accepted != 0 || res.Rejected != 0 {
 		t.Errorf("zero-step anneal did work: %+v", res)
 	}
@@ -99,7 +111,7 @@ func TestZeroDeltaMoveParity(t *testing.T) {
 	HillClimb(hc, steps, 99)
 	// T so small that exp(-delta/T) underflows to 0 for every positive
 	// delta: the Metropolis roll can never accept a worsening move.
-	Anneal(an, AnnealConfig{Steps: steps, T0: 1e-300, T1: 1e-300, Seed: 99})
+	anneal(t, an, AnnealConfig{Steps: steps, T0: 1e-300, T1: 1e-300, Seed: 99})
 	want := []float64{0, -1, 0, -0.5, 0}
 	check := func(name string, got []float64) {
 		t.Helper()

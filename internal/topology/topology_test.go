@@ -1,10 +1,22 @@
 package topology
 
 import (
+	"context"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
+
+// basicStats is BasicStatsCtx under context.Background(), failing the
+// test on error.
+func basicStats(t *testing.T, tp *Topology) Stats {
+	t.Helper()
+	st, err := tp.BasicStatsCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
 
 func TestFatTreeSizing(t *testing.T) {
 	for _, k := range []int{4, 8, 16} {
@@ -40,7 +52,7 @@ func TestFatTreeDiameter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := ft.BasicStats()
+	st := basicStats(t, ft)
 	// ToR→agg→core→agg→ToR: 4 hops between pods.
 	if st.ToRDiam != 4 {
 		t.Errorf("fat-tree ToR diameter = %d, want 4", st.ToRDiam)
@@ -58,7 +70,7 @@ func TestLeafSpine(t *testing.T) {
 	if got := ls.NumSwitches(); got != 12 {
 		t.Errorf("switches = %d, want 12", got)
 	}
-	st := ls.BasicStats()
+	st := basicStats(t, ls)
 	if st.ToRDiam != 2 {
 		t.Errorf("leaf-spine ToR diameter = %d, want 2", st.ToRDiam)
 	}
@@ -311,7 +323,7 @@ func TestFlattenedButterfly(t *testing.T) {
 	if !fb.IsRegular(2 * 3) {
 		t.Error("flattened butterfly not Dims*(C-1)-regular")
 	}
-	st := fb.BasicStats()
+	st := basicStats(t, fb)
 	if st.ToRDiam != 2 {
 		t.Errorf("2-D flattened butterfly diameter = %d, want 2 (= Dims)", st.ToRDiam)
 	}
@@ -330,7 +342,7 @@ func TestSlimFlyMMS(t *testing.T) {
 		min, max := sf.MinMaxDegree()
 		t.Errorf("slim fly degrees in [%d,%d], want uniform %d", min, max, wantDeg)
 	}
-	st := sf.BasicStats()
+	st := basicStats(t, sf)
 	if st.ToRDiam != 2 {
 		t.Errorf("slim fly diameter = %d, want 2", st.ToRDiam)
 	}
@@ -347,7 +359,7 @@ func TestSlimFlyQ13(t *testing.T) {
 	if !sf.IsRegular(19) {
 		t.Error("q=13 slim fly not 19-regular")
 	}
-	if st := sf.BasicStats(); st.ToRDiam != 2 {
+	if st := basicStats(t, sf); st.ToRDiam != 2 {
 		t.Errorf("q=13 diameter = %d, want 2", st.ToRDiam)
 	}
 }
@@ -424,8 +436,8 @@ func TestJupiterDirect(t *testing.T) {
 		t.Errorf("pair width = %d, want 2", got)
 	}
 	// Direct-connect is one "block hop" everywhere.
-	if st := j.AllPairsStats(nil); st.Diameter != 1 {
-		t.Errorf("direct-connect block diameter = %d, want 1", st.Diameter)
+	if st, err := j.AllPairsStatsCtx(context.Background(), nil); err != nil || st.Diameter != 1 {
+		t.Errorf("direct-connect block diameter = %d (err %v), want 1", st.Diameter, err)
 	}
 }
 
@@ -455,7 +467,7 @@ func TestExpanderBeatsClosOnPaperMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fts, jfs := ft.BasicStats(), jf.BasicStats()
+	fts, jfs := basicStats(t, ft), basicStats(t, jf)
 	if jfs.ToRMean >= fts.ToRMean {
 		t.Errorf("jellyfish mean hops %.2f not below fat-tree %.2f", jfs.ToRMean, fts.ToRMean)
 	}

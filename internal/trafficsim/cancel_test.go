@@ -70,14 +70,14 @@ func TestFailureDegradationCtxLiveUncanceledMatches(t *testing.T) {
 
 // TestKSPThroughputCtxLiveUncanceledMatches: the §6 contract under a
 // live cancellable context — alpha must be bit-identical to the
-// context-free solve.
+// context.Background() solve (no polling).
 func TestKSPThroughputCtxLiveUncanceledMatches(t *testing.T) {
 	ft, err := topology.FatTree(topology.FatTreeConfig{K: 4, Rate: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := Uniform(len(ft.ToRs()), 100)
-	want, err := KSPThroughput(ft, m, DefaultKSP())
+	want, err := KSPThroughputCtx(context.Background(), ft, m, DefaultKSP())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,6 +88,6 @@ func TestKSPThroughputCtxLiveUncanceledMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Fatalf("cancellable alpha %v != context-free %v", got, want)
+		t.Fatalf("cancellable alpha %v != background %v", got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package trafficsim
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -8,7 +9,7 @@ import (
 	"physdep/internal/topology"
 )
 
-// FuzzKSPConfig throws arbitrary routing knobs at KSPThroughput on a
+// FuzzKSPConfig throws arbitrary routing knobs at KSPThroughputCtx on a
 // fixed small fabric. Invalid configs must classify as out-of-range;
 // valid ones must produce a usable throughput factor. Either way, no
 // panic and no hang — Validate's bounds are what keep the enumeration
@@ -31,7 +32,7 @@ func FuzzKSPConfig(f *testing.F) {
 		}
 		m := Uniform(4, 10)
 		cfg := KSPConfig{K: k, Slack: slack, Chunks: chunks}
-		alpha, err := KSPThroughput(topo, m, cfg)
+		alpha, err := KSPThroughputCtx(context.Background(), topo, m, cfg)
 		if verr := cfg.Validate(); verr != nil {
 			if err == nil {
 				t.Fatalf("invalid config %+v was accepted", cfg)

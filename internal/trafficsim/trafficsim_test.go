@@ -185,7 +185,7 @@ func TestKSPFindsPathsAndBeatsECMPOnExpanders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ak, err := KSPThroughput(jf, m, DefaultKSP())
+	ak, err := KSPThroughputCtx(context.Background(), jf, m, DefaultKSP())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestKSPEqualsECMPOnUniquePathGraphs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ak, err := KSPThroughput(ls, m, KSPConfig{K: 8, Slack: 0})
+	ak, err := KSPThroughputCtx(context.Background(), ls, m, KSPConfig{K: 8, Slack: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,10 +223,10 @@ func TestKSPValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := KSPThroughput(ft, Uniform(2, 1), DefaultKSP()); err == nil {
+	if _, err := KSPThroughputCtx(context.Background(), ft, Uniform(2, 1), DefaultKSP()); err == nil {
 		t.Error("size mismatch accepted")
 	}
-	if _, err := KSPThroughput(ft, Uniform(len(ft.ToRs()), 1), KSPConfig{K: 0}); err == nil {
+	if _, err := KSPThroughputCtx(context.Background(), ft, Uniform(len(ft.ToRs()), 1), KSPConfig{K: 0}); err == nil {
 		t.Error("K=0 accepted")
 	}
 }
@@ -250,7 +250,7 @@ func TestExpanderBeatsFatTreeAtEqualEquipment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aj, err := KSPThroughput(jf, Uniform(80, 200), DefaultKSP()) // 2 servers × 100G
+	aj, err := KSPThroughputCtx(context.Background(), jf, Uniform(80, 200), DefaultKSP()) // 2 servers × 100G
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,12 +43,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"time"
 
+	"physdep/internal/atomicfile"
 	"physdep/internal/experiments"
 	"physdep/internal/par"
 )
@@ -278,28 +280,10 @@ func writeJSON(path string, v any) error {
 	if err != nil {
 		return err
 	}
-	return atomicWriteFile(path, append(b, '\n'))
-}
-
-// atomicWriteFile writes data via a temp file in the same directory plus
-// rename — the same atomic-write contract cmd/experiments uses for its
-// artifacts, so a crash or ^C mid-update leaves the old baseline intact.
-func atomicWriteFile(path string, data []byte) error {
-	dir, base := filepath.Split(path)
-	tmp, err := os.CreateTemp(dir, base+".tmp*")
-	if err != nil {
+	// Atomic replace: a crash or ^C mid-update leaves the old baseline
+	// intact.
+	return atomicfile.Write(path, 0o644, func(w io.Writer) error {
+		_, err := w.Write(append(b, '\n'))
 		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	})
 }

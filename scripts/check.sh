@@ -12,9 +12,10 @@
 # a -manifest/-trace run must produce a non-empty manifest with spans.
 #
 # Cancellation: the parcheck stage rejects silently dropped par errors
-# (scripts/parcheck), and the stress stage interrupts a real run with a
-# random deadline under -race, asserting the DESIGN.md §9 contract —
-# nonzero exit, classified diagnostic, interrupted-but-intact manifest.
+# and unannotated root contexts in internal/ (scripts/parcheck), and the
+# stress stage interrupts a real run with a random deadline under -race,
+# asserting the DESIGN.md §9 contract — nonzero exit, classified
+# diagnostic, interrupted-but-intact manifest.
 #
 # Fuzz smoke: each library-boundary fuzz target runs briefly past its
 # committed seed corpus. Go allows one -fuzz pattern per invocation, so
@@ -41,7 +42,7 @@ FUZZTIME="${FUZZTIME:-10s}"
 echo "== go vet"
 go vet ./...
 
-echo "== parcheck (no silently dropped par errors)"
+echo "== parcheck (no silently dropped par errors or contexts)"
 go run ./scripts/parcheck ./internal ./cmd ./examples
 
 echo "== go build"
